@@ -1,13 +1,13 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 
 	"datacron/internal/analytics"
 	"datacron/internal/msg"
+	"datacron/internal/ontology"
 	"datacron/internal/rdf"
 	"datacron/internal/store"
 	"datacron/internal/synopses"
@@ -20,46 +20,71 @@ import (
 
 // ExportTriples drains the pipeline's triples topic and writes every triple
 // as N-Triples to w, returning the count written. The broker log is left
-// intact (drain re-reads from offset zero).
+// intact (drain re-reads from offset zero). Records that do not parse are
+// skipped, not written, and counted in "core.triples.malformed".
 func (p *Pipeline) ExportTriples(w io.Writer) (int64, error) {
 	recs, err := p.Broker.Drain(TopicTriples)
 	if err != nil {
 		return 0, err
 	}
 	var n int64
-	bw := newCountingWriter(w)
-	for _, rec := range recs {
-		ts, err := rdf.ReadNTriples(bytes.NewReader(rec.Value))
-		if err != nil {
-			continue // skip corrupt lines rather than abort the archive
+	var werr error
+	malformed := batchRecords(recs, kgBatch, func(ts []rdf.Triple) {
+		if werr == nil {
+			if werr = rdf.WriteNTriples(w, ts); werr == nil {
+				n += int64(len(ts))
+			}
 		}
-		if err := rdf.WriteNTriples(bw, ts); err != nil {
-			return n, fmt.Errorf("core: exporting triples: %w", err)
-		}
-		n += int64(len(ts))
+	})
+	p.obs.Counter("core.triples.malformed").Add(malformed)
+	if werr != nil {
+		return n, fmt.Errorf("core: exporting triples: %w", werr)
 	}
 	return n, nil
 }
 
 // LoadArchive builds a knowledge graph from an N-Triples archive produced
-// by ExportTriples (or any N-Triples source). Triples are loaded in batches
-// so spatio-temporal subjects whose position/time stamps arrive together
-// get cell-embedding IDs.
+// by ExportTriples (or any N-Triples source).
 func LoadArchive(r io.Reader, cfg store.STCellConfig, layout store.Layout) (*store.Store, error) {
 	triples, err := rdf.ReadNTriples(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: loading archive: %w", err)
 	}
 	st := store.New(cfg, layout)
-	const batch = 10_000
-	for i := 0; i < len(triples); i += batch {
-		end := i + batch
-		if end > len(triples) {
-			end = len(triples)
-		}
-		st.Load(triples[i:end])
-	}
+	archiveBatches(triples, kgBatch, st.Load)
 	return st, nil
+}
+
+// archiveBatches hands triples to load in batches of at least limit triples
+// (the last may be smaller). An archive carries no record times, so a batch
+// is cut only where no spatio-temporal node straddles the cut: every triple
+// that mentions a subject with a dtc:atTime, as subject or as object, lands
+// in one batch, and the node gets its cell-embedding ID.
+func archiveBatches(triples []rdf.Triple, limit int, load func([]rdf.Triple)) {
+	last := make(map[rdf.Term]int) // node -> index of its last mention
+	for _, t := range triples {
+		if t.P == ontology.PropAtTime {
+			last[t.S] = 0
+		}
+	}
+	for i, t := range triples {
+		for _, term := range [...]rdf.Term{t.S, t.O} {
+			if _, ok := last[term]; ok {
+				last[term] = i
+			}
+		}
+	}
+	start, reach := 0, 0
+	for i, t := range triples {
+		reach = max(reach, last[t.S], last[t.O])
+		if i+1-start >= limit && reach <= i {
+			load(triples[start : i+1])
+			start = i + 1
+		}
+	}
+	if start < len(triples) {
+		load(triples[start:])
+	}
 }
 
 // MinePatterns runs the offline Complex Event Analyzer over the archived
@@ -103,18 +128,4 @@ func ReplayTopic(ctx context.Context, from *msg.Broker, topic string, to *msg.Br
 		n++
 	}
 	return n, nil
-}
-
-// countingWriter counts bytes for diagnostics while delegating writes.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func newCountingWriter(w io.Writer) *countingWriter { return &countingWriter{w: w} }
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

@@ -9,7 +9,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -371,50 +370,66 @@ func (p *Pipeline) RunRealTime(ctx context.Context) (Summary, error) {
 	return p.RunWithRecovery(ctx, nil)
 }
 
-// publishTriples sends triples to the triples topic in N-Triples lines.
+// publishTriples sends triples to the triples topic, one N-Triples line per
+// record keyed by the subject. Produce retains each value, so the lines are
+// formatted into one arena per call and never overwritten.
 func (p *Pipeline) publishTriples(ctx context.Context, triples []rdf.Triple, ts time.Time) error {
+	arena := make([]byte, 0, 192*len(triples))
+	var subj rdf.Term
+	var key string
 	for _, t := range triples {
-		if _, err := p.Broker.Produce(ctx, TopicTriples, t.S.Key(), []byte(t.String()), ts); err != nil {
+		if t.S != subj {
+			subj, key = t.S, t.S.Key()
+		}
+		start := len(arena)
+		arena = t.AppendNTriple(arena)
+		if _, err := p.Broker.Produce(ctx, TopicTriples, key, arena[start:len(arena):len(arena)], ts); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// kgBatch is the triple count past which the batch layer hands a batch to
+// the store (or the archive writer) at the next safe cut.
+const kgBatch = 10_000
+
 // BuildKnowledgeGraph drains the triples topic (the batch layer's input)
 // into a spatio-temporal store with the given cell configuration and layout.
+// Records that do not parse are skipped and counted in
+// "core.triples.malformed".
 func (p *Pipeline) BuildKnowledgeGraph(cfg store.STCellConfig, layout store.Layout) (*store.Store, error) {
 	recs, err := p.Broker.Drain(TopicTriples)
 	if err != nil {
 		return nil, err
 	}
-	// Group the N-Triples lines into one batch per subject-bearing record
-	// ordering; Load batches per 10k lines to bound memory.
 	st := store.New(cfg, layout)
 	st.Instrument(p.obs)
-	var batch []rdf.Triple
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		st.Load(batch)
-		batch = batch[:0]
-		return nil
-	}
-	for _, rec := range recs {
-		ts, err := rdf.ReadNTriples(bytes.NewReader(rec.Value))
-		if err != nil {
-			continue
-		}
-		batch = append(batch, ts...)
-		if len(batch) >= 10_000 {
-			if err := flush(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
+	p.obs.Counter("core.triples.malformed").Add(batchRecords(recs, kgBatch, st.Load))
 	return st, nil
+}
+
+// batchRecords parses drained N-Triples records and hands their triples to
+// load in batches of at least limit triples (the last may be smaller). A
+// batch is cut only where the record time changes: a critical point's
+// triples, including the ones that reference its semantic node, all carry
+// the critical point's time and Drain orders records by time, so no node is
+// split across two loads. load must not retain the slice. It returns the
+// number of records skipped because they did not parse.
+func batchRecords(recs []msg.Record, limit int, load func([]rdf.Triple)) (malformed int64) {
+	var batch []rdf.Triple
+	for i, rec := range recs {
+		if i > 0 && len(batch) >= limit && !rec.Time.Equal(recs[i-1].Time) {
+			load(batch)
+			batch = batch[:0]
+		}
+		var err error
+		if batch, err = rdf.AppendNTriples(batch, rec.Value); err != nil {
+			malformed++
+		}
+	}
+	if len(batch) > 0 {
+		load(batch)
+	}
+	return malformed
 }

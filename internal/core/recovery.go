@@ -390,7 +390,7 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (Sum
 				sum.Links++
 				p.Dashboard.AddLink(l)
 				t := l.Triple()
-				if _, err := p.Broker.Produce(ctx, TopicLinks, l.Source, []byte(t.String()), l.Time); err != nil {
+				if _, err := p.Broker.Produce(ctx, TopicLinks, l.Source, t.AppendNTriple(nil), l.Time); err != nil {
 					return err
 				}
 				sum.Triples++

@@ -27,12 +27,14 @@ var hotPathRootNames = []string{
 
 // HotPathExtraRoots names per-record and per-batch entry points that the
 // prefix rule misses: the wire codec (encoded/decoded once per record on
-// the ingest and shard-worker paths), the broker's batch produce, and the
-// pipeline's batch ingest. Keys are module-relative package prefixes,
+// the ingest and shard-worker paths), the broker's batch produce, the
+// pipeline's batch ingest, and the N-Triples line formatter and parser
+// (once per triple on the real-time and batch layers). Keys are module-relative package prefixes,
 // matched like HotPathScope; values are exact function or method names.
 var HotPathExtraRoots = map[string][]string{
 	"internal/mobility": {"AppendBinary", "UnmarshalReportBinary", "UnmarshalReportInto", "Decode"},
 	"internal/msg":      {"ProduceBatch"},
+	"internal/rdf":      {"AppendNTriple", "AppendNTriples"},
 	"internal/shard":    {"SubmitBatch"},
 	"internal/core":     {"Ingest"},
 }

@@ -11,8 +11,10 @@ import (
 // WriteNTriples serialises triples in N-Triples format, one per line.
 func WriteNTriples(w io.Writer, triples []Triple) error {
 	bw := bufio.NewWriter(w)
+	line := make([]byte, 0, 256)
 	for _, t := range triples {
-		if _, err := fmt.Fprintln(bw, t.String()); err != nil {
+		line = append(t.AppendNTriple(line[:0]), '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
@@ -20,28 +22,51 @@ func WriteNTriples(w io.Writer, triples []Triple) error {
 }
 
 // ReadNTriples parses an N-Triples document. Blank lines and #-comments are
-// skipped. Errors carry the line number.
+// skipped; lines end in "\n" or "\r\n". Errors carry the line number. The
+// document is read whole and parsed by AppendNTriples, so line length is
+// bounded only by memory.
 func ReadNTriples(r io.Reader) ([]Triple, error) {
-	var out []Triple
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+	var doc strings.Builder
+	if _, err := io.Copy(&doc, r); err != nil {
+		return nil, err
+	}
+	return appendNTriples(nil, doc.String())
+}
+
+// AppendNTriples parses an in-memory N-Triples document with the rules of
+// ReadNTriples and appends its triples to dst. The terms share one copy of
+// data. On error it returns dst with nothing appended, so a caller can skip
+// a malformed record and keep the triples before it.
+func AppendNTriples(dst []Triple, data []byte) ([]Triple, error) {
+	return appendNTriples(dst, string(data))
+}
+
+func appendNTriples(dst []Triple, doc string) ([]Triple, error) {
+	n := len(dst)
+	for lineNo := 1; doc != ""; lineNo++ {
+		line := doc
+		if i := strings.IndexByte(doc, '\n'); i >= 0 {
+			line, doc = doc[:i], doc[i+1:]
+		} else {
+			doc = ""
+		}
+		line = strings.TrimSpace(line)
+		if line == "" || line[0] == '#' {
 			continue
 		}
 		t, err := parseNTLine(line)
 		if err != nil {
-			return nil, fmt.Errorf("rdf: line %d: %w", lineNo, err)
+			return dst[:n], lineError(lineNo, err)
 		}
-		out = append(out, t)
+		dst = append(dst, t)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return dst, nil
+}
+
+// lineError is the cold-path constructor of a parse error, kept out of the
+// per-line loop.
+func lineError(lineNo int, err error) error {
+	return fmt.Errorf("rdf: line %d: %w", lineNo, err)
 }
 
 func parseNTLine(line string) (Triple, error) {

@@ -111,7 +111,41 @@ type Triple struct {
 }
 
 func (t Triple) String() string {
-	return fmt.Sprintf("%s %s %s .", t.S, t.P, t.O)
+	var buf [256]byte
+	return string(t.AppendNTriple(buf[:0]))
+}
+
+// AppendNTriple appends the triple's N-Triples line, without the trailing
+// newline, to dst.
+func (t Triple) AppendNTriple(dst []byte) []byte {
+	dst = appendTerm(dst, t.S)
+	dst = append(dst, ' ')
+	dst = appendTerm(dst, t.P)
+	dst = append(dst, ' ')
+	dst = appendTerm(dst, t.O)
+	return append(dst, " ."...)
+}
+
+// appendTerm appends a term in N-Triples syntax; it matches Term.String.
+func appendTerm(dst []byte, t Term) []byte {
+	switch v := t.(type) {
+	case IRI:
+		dst = append(dst, '<')
+		dst = append(dst, v...)
+		return append(dst, '>')
+	case BNode:
+		dst = append(dst, "_:"...)
+		return append(dst, v...)
+	case Literal:
+		dst = strconv.AppendQuote(dst, v.Value)
+		if v.Datatype != "" && v.Datatype != XSDString {
+			dst = append(dst, "^^<"...)
+			dst = append(dst, v.Datatype...)
+			dst = append(dst, '>')
+		}
+		return dst
+	}
+	return fmt.Appendf(dst, "%s", t) // nil: the fmt rendering
 }
 
 // Key returns a canonical identity for set semantics.

@@ -60,8 +60,11 @@ func (c *Cluster) shardFor(key string) int {
 
 // Load distributes a batch across shards by subject, loading shards in
 // parallel. All triples of one subject land on one shard, so star joins
-// never need cross-shard joins.
+// never need cross-shard joins. The batch's nodes are interned in the shared
+// dictionary first: a node's mentions on other shards would otherwise race
+// its own shard to encode it.
 func (c *Cluster) Load(triples []rdf.Triple) {
+	c.dict.encodeNodes(triples)
 	batches := make([][]rdf.Triple, len(c.shards))
 	for _, t := range triples {
 		i := c.shardFor(t.S.Key())

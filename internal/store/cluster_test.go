@@ -132,3 +132,32 @@ func TestClusterSubjectLocality(t *testing.T) {
 		t.Errorf("subject held by %d shards, want 1", holders)
 	}
 }
+
+func TestClusterEncodesNodesMentionedOnOtherShards(t *testing.T) {
+	// A trajectory's reference to a node is routed to the trajectory's
+	// shard, which loads in parallel with the node's own shard; the node
+	// still gets its cell-embedded ID.
+	var triples []rdf.Triple
+	for i := 0; i < 64; i++ {
+		traj := rdf.IRI(fmt.Sprintf("http://x/ctraj/%d", i))
+		node := rdf.IRI(fmt.Sprintf("http://x/cnode/%d", i))
+		triples = append(triples,
+			rdf.Triple{S: traj, P: ontology.PropHasNode, O: node},
+			rdf.Triple{S: traj, P: ontology.PropOfMover, O: rdf.IRI(fmt.Sprintf("http://x/mover/%d", i))},
+			rdf.Triple{S: node, P: rdf.RDFType, O: ontology.ClassSemanticNode},
+			rdf.Triple{S: node, P: ontology.PropAsWKT, O: rdf.WKT(geo.Pt(23, 37).WKT())},
+			rdf.Triple{S: node, P: ontology.PropAtTime, O: rdf.Time(t0)},
+		)
+	}
+	cluster := NewCluster(testCellConfig(), 4, func() Layout { return NewVerticalPartitioning() })
+	cluster.Load(triples)
+	plain := 0
+	for i := 0; i < 64; i++ {
+		if !cluster.dict.Lookup(rdf.IRI(fmt.Sprintf("http://x/cnode/%d", i))).IsSpatioTemporal() {
+			plain++
+		}
+	}
+	if plain > 0 {
+		t.Errorf("%d of 64 nodes have plain IDs", plain)
+	}
+}

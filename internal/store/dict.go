@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"datacron/internal/geo"
+	"datacron/internal/ontology"
 	"datacron/internal/rdf"
 )
 
@@ -84,8 +85,12 @@ type Dict struct {
 	cfg  STCellConfig
 	grid *geo.Grid
 
-	mu        sync.RWMutex
-	byKey     map[string]ID
+	mu sync.RWMutex
+	// byTerm keys by the term itself: terms are comparable, and the
+	// dynamic type separates IRIs, blank nodes and literals (a literal's
+	// datatype is part of its value), so equality is Term.Key equality
+	// without building a key string per lookup.
+	byTerm    map[rdf.Term]ID
 	byID      map[ID]rdf.Term
 	nextPlain ID
 	nextSeq   map[uint64]ID // st cell -> next sequence
@@ -97,7 +102,7 @@ func NewDict(cfg STCellConfig) *Dict {
 	return &Dict{
 		cfg:       cfg,
 		grid:      geo.NewGrid(cfg.Extent, cfg.Cols, cfg.Rows),
-		byKey:     make(map[string]ID),
+		byTerm:    make(map[rdf.Term]ID),
 		byID:      make(map[ID]rdf.Term),
 		nextPlain: 1, // 0 is reserved as "no ID"
 		nextSeq:   make(map[uint64]ID),
@@ -116,21 +121,20 @@ func (d *Dict) stCell(p geo.Point, t time.Time) uint64 {
 
 // Encode interns a plain term.
 func (d *Dict) Encode(t rdf.Term) ID {
-	k := t.Key()
 	d.mu.RLock()
-	id, ok := d.byKey[k]
+	id, ok := d.byTerm[t]
 	d.mu.RUnlock()
 	if ok {
 		return id
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if id, ok := d.byKey[k]; ok {
+	if id, ok := d.byTerm[t]; ok {
 		return id
 	}
 	id = d.nextPlain
 	d.nextPlain++
-	d.byKey[k] = id
+	d.byTerm[t] = id
 	d.byID[id] = t
 	return id
 }
@@ -139,16 +143,15 @@ func (d *Dict) Encode(t rdf.Term) ID {
 // (e.g. a semantic node), embedding the entity's cell into the ID. The
 // returned ID approximates the entity's position and time by construction.
 func (d *Dict) EncodeSpatioTemporal(t rdf.Term, p geo.Point, ts time.Time) ID {
-	k := t.Key()
 	d.mu.RLock()
-	id, ok := d.byKey[k]
+	id, ok := d.byTerm[t]
 	d.mu.RUnlock()
 	if ok {
 		return id
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if id, ok := d.byKey[k]; ok {
+	if id, ok := d.byTerm[t]; ok {
 		return id
 	}
 	cell := d.stCell(p, ts)
@@ -161,16 +164,61 @@ func (d *Dict) EncodeSpatioTemporal(t rdf.Term, p geo.Point, ts time.Time) ID {
 		d.nextSeq[cell] = seq + 1
 		id = stFlag | ID(cell<<seqBits) | seq
 	}
-	d.byKey[k] = id
+	d.byTerm[t] = id
 	d.byID[id] = t
 	return id
+}
+
+// encodeNodes interns the batch's spatio-temporal subjects, those with a
+// point geosparql:asWKT and a dtc:atTime in the batch, with cell-embedding
+// IDs in order of first appearance. It runs before anything else in the
+// batch is encoded, so a node mentioned as an object ahead of its own
+// triples still gets its cell.
+func (d *Dict) encodeNodes(triples []rdf.Triple) {
+	type stInfo struct {
+		pos  geo.Point
+		ts   time.Time
+		hasP bool
+		hasT bool
+	}
+	nodes := make(map[rdf.Term]stInfo)
+	for _, t := range triples {
+		switch t.P {
+		case ontology.PropAsWKT:
+			if lit, ok := t.O.(rdf.Literal); ok {
+				if g, err := geo.ParseWKT(lit.Value); err == nil {
+					if p, ok := g.(geo.Point); ok {
+						info := nodes[t.S]
+						info.pos, info.hasP = p, true
+						nodes[t.S] = info
+					}
+				}
+			}
+		case ontology.PropAtTime:
+			if lit, ok := t.O.(rdf.Literal); ok {
+				if ts, err := lit.AsTime(); err == nil {
+					info := nodes[t.S]
+					info.ts, info.hasT = ts, true
+					nodes[t.S] = info
+				}
+			}
+		}
+	}
+	for _, t := range triples {
+		if info, ok := nodes[t.S]; ok {
+			delete(nodes, t.S)
+			if info.hasP && info.hasT {
+				d.EncodeSpatioTemporal(t.S, info.pos, info.ts)
+			}
+		}
+	}
 }
 
 // Lookup returns the interned ID of a term, or 0 when absent.
 func (d *Dict) Lookup(t rdf.Term) ID {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.byKey[t.Key()]
+	return d.byTerm[t]
 }
 
 // Decode returns the term of an ID.
@@ -185,7 +233,7 @@ func (d *Dict) Decode(id ID) (rdf.Term, bool) {
 func (d *Dict) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.byKey)
+	return len(d.byTerm)
 }
 
 // CoveringCells returns the combined spatio-temporal cells intersecting the

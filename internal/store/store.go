@@ -63,12 +63,12 @@ func (s *Store) Layout() Layout { return s.layout }
 // Len returns the stored triple count.
 func (s *Store) Len() int { return s.layout.Len() }
 
-// Load ingests a batch of triples. It groups the batch by subject to decide
-// which subjects are spatio-temporal entities, encodes accordingly, and
-// stores every triple. Loading may be called repeatedly; a subject's
-// encoding is fixed by the first batch that defines its position and time,
-// so stream loaders should deliver a node's triples in one batch (the
-// datAcron RDFizers do: each critical point is one record).
+// Load ingests a batch of triples. It first interns the batch's
+// spatio-temporal subjects with cell-embedding IDs (see encodeNodes), then
+// encodes and stores every triple; other terms get plain IDs. Loading may be
+// called repeatedly, and a term keeps the ID it was first given, so a loader
+// must deliver a node's own triples no later than the batch holding the
+// first triple that mentions it.
 func (s *Store) Load(triples []rdf.Triple) {
 	if s.m != nil {
 		start := s.m.clock.Now()
@@ -77,49 +77,10 @@ func (s *Store) Load(triples []rdf.Triple) {
 			s.m.loadTriples.Add(int64(len(triples)))
 		}()
 	}
-	type stInfo struct {
-		pos  geo.Point
-		ts   time.Time
-		hasP bool
-		hasT bool
-	}
-	bySubj := make(map[string]*stInfo)
-	for _, t := range triples {
-		key := t.S.Key()
-		info := bySubj[key]
-		if info == nil {
-			info = &stInfo{}
-			bySubj[key] = info
-		}
-		switch t.P {
-		case ontology.PropAsWKT:
-			if lit, ok := t.O.(rdf.Literal); ok {
-				if g, err := geo.ParseWKT(lit.Value); err == nil {
-					if p, ok := g.(geo.Point); ok {
-						info.pos = p
-						info.hasP = true
-					}
-				}
-			}
-		case ontology.PropAtTime:
-			if lit, ok := t.O.(rdf.Literal); ok {
-				if ts, err := lit.AsTime(); err == nil {
-					info.ts = ts
-					info.hasT = true
-				}
-			}
-		}
-	}
-	encodeSubject := func(term rdf.Term) ID {
-		info := bySubj[term.Key()]
-		if info != nil && info.hasP && info.hasT {
-			return s.dict.EncodeSpatioTemporal(term, info.pos, info.ts)
-		}
-		return s.dict.Encode(term)
-	}
+	s.dict.encodeNodes(triples)
 	for _, t := range triples {
 		s.layout.Add(EncodedTriple{
-			S: encodeSubject(t.S),
+			S: s.dict.Encode(t.S),
 			P: s.dict.Encode(t.P),
 			O: s.dict.Encode(t.O),
 		})

@@ -334,3 +334,21 @@ func TestStoreLoadIdempotentEncoding(t *testing.T) {
 		t.Error("node should have ST encoding from first batch")
 	}
 }
+
+func TestLoadEncodesNodeMentionedFirstAsObject(t *testing.T) {
+	// A trajectory's reference to a node may precede the node's own
+	// triples in the batch; the node still gets its cell-embedded ID.
+	s := New(testCellConfig(), NewVerticalPartitioning())
+	traj, node := rdf.IRI("http://x/traj/0"), rdf.IRI("http://x/node/0")
+	s.Load([]rdf.Triple{
+		{S: traj, P: ontology.PropHasNode, O: node},
+		{S: node, P: ontology.PropAsWKT, O: rdf.WKT(geo.Pt(23, 37).WKT())},
+		{S: node, P: ontology.PropAtTime, O: rdf.Time(t0)},
+	})
+	if id := s.dict.Lookup(node); !id.IsSpatioTemporal() {
+		t.Errorf("node referenced before its own triples got plain ID %v", id)
+	}
+	if id := s.dict.Lookup(traj); id.IsSpatioTemporal() {
+		t.Errorf("trajectory without position got spatio-temporal ID %v", id)
+	}
+}
