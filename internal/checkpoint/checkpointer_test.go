@@ -254,3 +254,57 @@ func TestRestoreMissingOperatorState(t *testing.T) {
 		t.Fatal("restore with unregistered operator state succeeded")
 	}
 }
+
+// TestRestoreMissingOperatorLeavesBrokerUntouched: a generation that cannot
+// restore every registered operator is rejected before Restore rewrites
+// committed offsets or truncates output topics, so the failed restore has
+// no side effects on the broker.
+func TestRestoreMissingOperatorLeavesBrokerUntouched(t *testing.T) {
+	b := newTestBroker(t)
+	t0 := time.Unix(1000, 0).UTC()
+	produceN(t, b, "out", 4, t0)
+	b.RestoreOffsets("g", "raw", map[int]int64{0: 1, 1: 2})
+
+	cpr, err := NewCheckpointer(NewMemStore(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpr.RegisterSource("g", "raw")
+	cpr.RegisterOutput("out")
+	cpr.Register("counter", &counterOp{n: 7})
+	if _, err := cpr.Capture(b); err != nil {
+		t.Fatal(err)
+	}
+
+	// Move the world past the checkpoint, then register an operator the
+	// stored generation lacks.
+	produceN(t, b, "out", 6, t0.Add(time.Hour))
+	b.RestoreOffsets("g", "raw", map[int]int64{0: 5, 1: 9})
+	wantOffsets := b.CommittedOffsets("g", "raw")
+	wantEnds := make([]int64, 2)
+	for p := range wantEnds {
+		if wantEnds[p], err = b.EndOffset("out", p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cpr.Register("late", &counterOp{})
+
+	if _, err := cpr.Restore(b); err == nil {
+		t.Fatal("restore with a missing operator succeeded")
+	}
+	got := b.CommittedOffsets("g", "raw")
+	for p, off := range wantOffsets {
+		if got[p] != off {
+			t.Errorf("raw/%d: committed offset rewound to %d, want %d", p, got[p], off)
+		}
+	}
+	for p, want := range wantEnds {
+		end, err := b.EndOffset("out", p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if end != want {
+			t.Errorf("out/%d truncated to %d, want %d", p, end, want)
+		}
+	}
+}

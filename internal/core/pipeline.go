@@ -354,15 +354,6 @@ func backpressureErr(err error) error {
 	return fmt.Errorf("%w: %w", ErrBackpressure, err)
 }
 
-// IngestBackground is Ingest with context.Background().
-//
-// Deprecated: use Ingest with a real context so backpressure blocking on a
-// bounded raw topic stays cancellable. This shim will be removed one
-// release after the context-first API landed.
-func (p *Pipeline) IngestBackground(reports []mobility.Report) error {
-	return p.Ingest(context.Background(), reports)
-}
-
 // RunRealTime consumes the raw topic through the full real-time layer until
 // the topic closes or the context is cancelled, and returns the run summary.
 // It is RunWithRecovery without checkpointing; see recovery.go.

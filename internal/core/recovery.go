@@ -246,19 +246,13 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (Sum
 		for _, t := range outputTopics {
 			cpr.RegisterOutput(t)
 		}
-		if shards == 1 {
-			// Single shard: the worker's operators register under the
-			// bare legacy names, so the checkpoint format is unchanged.
-			cpr.Register("synopses", workers[0].sg)
-			cpr.Register("area", workers[0].areaMon)
-		} else {
-			// Sharded: per-worker state is only consistent at a barrier,
-			// so it flows through the ShardSnapshots bridge under
-			// "shard/<i>/<op>" names, with a meta entry pinning the
-			// shard count.
-			shardSnaps = checkpoint.NewShardSnapshots(shards, shardOps)
-			shardSnaps.Register(cpr)
-		}
+		// Per-worker state is only consistent at a barrier, so it flows
+		// through the ShardSnapshots bridge under "shard/<i>/<op>" names,
+		// at every shard count. Its "shard/meta" entry registers first, so
+		// a checkpoint without one, or taken at another shard count, is
+		// rejected before any other operator is restored.
+		shardSnaps = checkpoint.NewShardSnapshots(shards, shardOps)
+		shardSnaps.Register(cpr)
 		if disc != nil {
 			cpr.Register("linkdisc", disc)
 		}
@@ -266,9 +260,6 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (Sum
 			cpr.Register("cer", p.forecaster)
 		}
 		cpr.Register("profiler", p.Profiler)
-		if shards == 1 {
-			cpr.Register("flp", predictorsSnapshotter{preds: workers[0].predictors, sample: p.cfg.SampleInterval})
-		}
 		cpr.Register("summary", runStateSnapshotter{seq: &seq, sum: &sum})
 
 		// Metric state is monitoring-only and deliberately outside the
@@ -286,14 +277,12 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (Sum
 			return sum, err
 		}
 		if cp != nil {
-			if shardSnaps != nil {
-				// The bridge staged each worker's blobs during Restore;
-				// apply them now, before Start, while the workers are
-				// still single-threaded.
-				for i, w := range workers {
-					if err := w.Restore(shardSnaps.Restored(i)); err != nil {
-						return sum, err
-					}
+			// The bridge staged each worker's blobs during Restore; apply
+			// them now, before Start, while the workers are still
+			// single-threaded.
+			for i, w := range workers {
+				if err := w.Restore(shardSnaps.Restored(i)); err != nil {
+					return sum, err
 				}
 			}
 			p.log.Info("restored from checkpoint",
@@ -463,15 +452,23 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (Sum
 		return nil
 	}
 
-	// barrier coordinates a consistent cut across the plane and stages
+	// barrier coordinates a consistent cut across the workers and stages
 	// the per-shard snapshots for the next Capture. Called only between
-	// fully drained poll batches.
+	// fully drained poll batches, where the inline worker is idle and can
+	// be snapshotted directly.
 	barrier := func() error {
-		if plane == nil || shardSnaps == nil {
+		if cpr == nil {
 			return nil
 		}
 		epoch := cpr.NextGeneration()
-		states, err := plane.Barrier(epoch)
+		var states []map[string][]byte
+		var err error
+		if plane == nil {
+			states = make([]map[string][]byte, 1)
+			states[0], err = workers[0].Snapshot()
+		} else {
+			states, err = plane.Barrier(epoch)
+		}
 		if err != nil {
 			return err
 		}
@@ -519,9 +516,7 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (Sum
 			// Leave a consistent cut staged for a caller-driven final
 			// capture (cmd/datacron's graceful shutdown): the plane is
 			// drained here, so the barrier is valid.
-			if cpr != nil {
-				_ = barrier()
-			}
+			_ = barrier()
 			return sum, err
 		}
 		if inj != nil {
@@ -536,6 +531,10 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (Sum
 			break
 		}
 		if err != nil {
+			if ctx.Err() != nil {
+				// Cancelled inside the poll: stage the final cut as above.
+				_ = barrier()
+			}
 			return sum, err
 		}
 		if inj != nil && len(recs) > 0 && inj.DropBatch() {

@@ -15,9 +15,8 @@ import (
 )
 
 // shardOps are the operator names every shard worker snapshot contains;
-// checkpoint.ShardSnapshots maps them to "shard/<i>/<op>" entries. With
-// shards=1 the same operators register under these bare names, keeping the
-// single-shard checkpoint format identical to pre-shard pipelines.
+// checkpoint.ShardSnapshots maps them to "shard/<i>/<op>" entries at every
+// shard count, shards=1 included.
 var shardOps = []string{"synopses", "area", "flp"}
 
 // workerIn is one record on its way to a shard worker, together with its
@@ -189,8 +188,7 @@ func missingOpErr(shard int, op string) error {
 	return fmt.Errorf("shard %d: restore: missing operator %q", shard, op)
 }
 
-// op maps a shardOps name to the operator's Snapshotter. The same
-// snapshotters register directly on the Checkpointer when shards=1.
+// op maps a shardOps name to the operator's Snapshotter.
 func (w *shardWorker) op(name string) interface {
 	Snapshot() ([]byte, error)
 	Restore([]byte) error

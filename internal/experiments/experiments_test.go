@@ -405,23 +405,15 @@ func TestShardScalingShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2*len(shardCounts) {
-		t.Fatalf("got %d rows, want %d", len(res.Rows), 2*len(shardCounts))
+	if len(res.Rows) != len(shardCounts) {
+		t.Fatalf("got %d rows, want %d", len(res.Rows), len(shardCounts))
 	}
 	for _, r := range res.Rows {
-		if r.Mode == "pipeline" && !r.Identical {
-			t.Errorf("pipeline shards=%d: output diverged from serial run", r.Shards)
+		if !r.Identical {
+			t.Errorf("shards=%d: output diverged from serial run", r.Shards)
 		}
 		if r.PerSecond <= 0 {
-			t.Errorf("%s shards=%d: non-positive throughput", r.Mode, r.Shards)
-		}
-	}
-	// The latency-bound sweep must scale regardless of GOMAXPROCS: shard
-	// workers overlap their per-record waits. Allow generous slack for
-	// scheduler jitter; ideal is 4.0x.
-	for _, r := range res.Rows {
-		if r.Mode == "enrich" && r.Shards == 4 && r.Speedup < 1.5 {
-			t.Errorf("enrich shards=4: speedup %.2fx, want >= 1.5x", r.Speedup)
+			t.Errorf("shards=%d: non-positive throughput", r.Shards)
 		}
 	}
 }

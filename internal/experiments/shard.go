@@ -8,18 +8,16 @@ import (
 	"time"
 
 	"datacron/internal/core"
-	"datacron/internal/shard"
 )
 
 // ShardRow is one point of the shard-scaling sweep.
 type ShardRow struct {
-	Mode      string // "pipeline" (full real-time layer) or "enrich" (latency-bound plane)
 	Shards    int
 	Records   int64
 	Wall      time.Duration
 	PerSecond float64
-	Speedup   float64 // vs the shards=1 row of the same mode
-	Identical bool    // pipeline mode: output byte-identical to the shards=1 run
+	Speedup   float64 // vs the shards=1 row
+	Identical bool    // output byte-identical to the shards=1 run
 }
 
 // ShardScalingResult is the shard-plane scaling experiment.
@@ -29,13 +27,13 @@ type ShardScalingResult struct {
 }
 
 // BenchRows converts the sweep into benchrunner's per-experiment JSON rows,
-// one per (mode, shard count), so BENCH_shard.json records the scaling
+// one per shard count, so BENCH_shard.json records the scaling
 // curve rather than a single aggregate.
 func (r *ShardScalingResult) BenchRows() []Row {
 	rows := make([]Row, 0, len(r.Rows))
 	for _, s := range r.Rows {
 		rows = append(rows, Row{
-			Name:          fmt.Sprintf("shard/%s/shards=%d", s.Mode, s.Shards),
+			Name:          fmt.Sprintf("shard/pipeline/shards=%d", s.Shards),
 			WallSeconds:   s.Wall.Seconds(),
 			Records:       s.Records,
 			RecordsPerSec: s.PerSecond,
@@ -44,70 +42,14 @@ func (r *ShardScalingResult) BenchRows() []Row {
 	return rows
 }
 
-// shardCounts is the sweep axis shared by both modes.
+// shardCounts is the sweep axis.
 var shardCounts = []int{1, 2, 4, 8}
 
-// enrichWorker simulates the per-trajectory enrichment stage of the paper's
-// real-time layer when it must consult an external source (weather grid,
-// registry lookup): a fixed wait per record, representing the round trip,
-// plus a trivial transformation. Waits overlap across shard workers, so the
-// plane's throughput scales with the shard count even when GOMAXPROCS=1 —
-// this isolates the coordination overhead of the plane itself from the
-// machine's core count.
-type enrichWorker struct {
-	wait time.Duration
-}
-
-func (w *enrichWorker) Process(in int) int {
-	time.Sleep(w.wait)
-	return in + 1
-}
-
-func (w *enrichWorker) Snapshot() (map[string][]byte, error) { return map[string][]byte{}, nil }
-func (w *enrichWorker) Restore(map[string][]byte) error      { return nil }
-
-// enrichRun pushes records through a plane with n shards, batching submits
-// the way the core coordinator does (batch ≤ queue, then drain in order).
-func enrichRun(n, records int, wait time.Duration) (time.Duration, error) {
-	const batch = 256
-	plane := shard.New(shard.Config{Shards: n, Queue: 2 * batch},
-		func(i int) string { return fmt.Sprintf("mover-%02d", i%64) },
-		func(int) shard.Worker[int, int] { return &enrichWorker{wait: wait} })
-	defer plane.Close()
-	plane.Start()
-	start := time.Now()
-	for off := 0; off < records; off += batch {
-		end := off + batch
-		if end > records {
-			end = records
-		}
-		for i := off; i < end; i++ {
-			if err := plane.Submit(context.Background(), i); err != nil {
-				return 0, err
-			}
-		}
-		for i := off; i < end; i++ {
-			out, err := plane.Next()
-			if err != nil {
-				return 0, err
-			}
-			if out != i+1 {
-				return 0, fmt.Errorf("experiments: shard merge out of order: got %d at %d", out, i)
-			}
-		}
-	}
-	return time.Since(start), nil
-}
-
-// RunShardScaling measures how the internal/shard execution plane scales
-// with the shard count, two ways. The "pipeline" sweep runs the full
-// real-time layer (synopses, area monitoring, FLP, link discovery) at 1, 2,
-// 4 and 8 shards over one seeded workload, checking every sharded run's
-// output is byte-identical to the serial one; its speedup is bounded by
-// GOMAXPROCS, since those stages are CPU-bound. The "enrich" sweep drives
-// the plane directly with a latency-bound worker (simulated external-source
-// round trip per record), where shard workers overlap their waits and the
-// plane scales regardless of core count.
+// RunShardScaling measures how the real-time layer scales with the shard
+// count: it runs the full layer (synopses, area monitoring, FLP, link
+// discovery) at 1, 2, 4 and 8 shards over one seeded workload, checking
+// every sharded run's output is byte-identical to the serial one. The
+// speedup is bounded by GOMAXPROCS, since those stages are CPU-bound.
 func RunShardScaling(w io.Writer, scale Scale) (*ShardScalingResult, error) {
 	res := &ShardScalingResult{MaxProcs: runtime.GOMAXPROCS(0)}
 	cfg, reports := checkpointWorkload(scale)
@@ -130,8 +72,7 @@ func RunShardScaling(w io.Writer, scale Scale) (*ShardScalingResult, error) {
 		}
 		wall := time.Since(start)
 		row := ShardRow{
-			Mode: "pipeline", Shards: n,
-			Records: sum.RawIn, Wall: wall,
+			Shards: n, Records: sum.RawIn, Wall: wall,
 			PerSecond: float64(sum.RawIn) / wall.Seconds(),
 		}
 		if n == 1 {
@@ -147,40 +88,15 @@ func RunShardScaling(w io.Writer, scale Scale) (*ShardScalingResult, error) {
 		res.Rows = append(res.Rows, row)
 	}
 
-	enrichRecords := 2_000
-	if scale == Full {
-		enrichRecords = 20_000
-	}
-	const wait = 100 * time.Microsecond
-	var enrichBase time.Duration
-	for _, n := range shardCounts {
-		wall, err := enrichRun(n, enrichRecords, wait)
-		if err != nil {
-			return nil, err
-		}
-		row := ShardRow{
-			Mode: "enrich", Shards: n,
-			Records: int64(enrichRecords), Wall: wall,
-			PerSecond: float64(enrichRecords) / wall.Seconds(),
-			Speedup:   1, Identical: true,
-		}
-		if n == 1 {
-			enrichBase = wall
-		} else {
-			row.Speedup = enrichBase.Seconds() / wall.Seconds()
-		}
-		res.Rows = append(res.Rows, row)
-	}
-
 	fmt.Fprintf(w, "Shard scaling — %d raw reports, GOMAXPROCS=%d, scale=%s\n",
 		len(reports), res.MaxProcs, scale)
-	fmt.Fprintf(w, "%-10s %7s %10s %12s %12s %9s %10s\n",
-		"mode", "shards", "records", "wall", "records/s", "speedup", "identical")
+	fmt.Fprintf(w, "%7s %10s %12s %12s %9s %10s\n",
+		"shards", "records", "wall", "records/s", "speedup", "identical")
 	for _, r := range res.Rows {
-		fmt.Fprintf(w, "%-10s %7d %10d %12s %12.0f %8.2fx %10t\n",
-			r.Mode, r.Shards, r.Records, r.Wall.Round(time.Millisecond), r.PerSecond, r.Speedup, r.Identical)
+		fmt.Fprintf(w, "%7d %10d %12s %12.0f %8.2fx %10t\n",
+			r.Shards, r.Records, r.Wall.Round(time.Millisecond), r.PerSecond, r.Speedup, r.Identical)
 	}
-	fmt.Fprintf(w, "pipeline-mode speedup is bounded by GOMAXPROCS (CPU-bound stages); enrich mode overlaps per-record waits and scales with shard count alone\n")
+	fmt.Fprintf(w, "speedup is bounded by GOMAXPROCS (CPU-bound stages)\n")
 
 	for _, r := range res.Rows {
 		if !r.Identical {
